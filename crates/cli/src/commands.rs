@@ -33,7 +33,6 @@ COMMANDS:
     audit      train a model and report unfair subgroups
     convert    re-encode a dataset (CSV / exact text / binary columnar)
     pipeline   run a declarative plan as a cached, parallel stage DAG
-    pipeline-worker  (internal) scan one dataset shard into mergeable counts
     serve      run a resident fairness service over TCP (line-JSON protocol)
     client     send request lines to a running serve daemon
     cache      manage the pipeline artifact cache (gc)
@@ -56,7 +55,6 @@ pub fn run(command: &str, raw: Vec<String>) -> Result<(), CliError> {
         "audit" => cmd_audit(raw),
         "convert" => cmd_convert(raw),
         "pipeline" => cmd_pipeline(raw),
-        "pipeline-worker" => cmd_pipeline_worker(raw),
         "serve" => cmd_serve(raw),
         "client" => cmd_client(raw),
         "cache" => cmd_cache(raw),
@@ -468,20 +466,13 @@ fn cmd_pipeline(raw: Vec<String>) -> Result<(), CliError> {
     if args.flag("help") || args.positional_count() == 0 {
         println!(
             "remedy pipeline <plan-file> [--cache .remedy-cache] [--threads N] \
-             [--shards N] [--out run.json] [--trace trace.jsonl] [--force] \
+             [--out run.json] [--trace trace.jsonl] [--force] \
              [--retries N] [--retry-base-ms MS] [--resume run.json]\n\n\
              --retries/--retry-base-ms retry transient cache I/O with seeded,\n\
              jittered exponential backoff. --resume validates a prior run's\n\
              manifest and replays its completed stages from the cache,\n\
              re-executing only unfinished ones. With --out, the manifest is\n\
              flushed incrementally so a killed run can always be resumed.\n\n\
-             --shards N partitions the training split stratified by protected\n\
-             key and fans the counting scan out over N `remedy pipeline-worker`\n\
-             subprocesses, merging their counts before identification — results\n\
-             and cache digests are byte-identical to --shards 1. With\n\
-             --threads T each worker scans with max(1, T / N) threads, so\n\
-             --shards and --threads never oversubscribe the machine; worker\n\
-             deaths are retried per shard under --retries.\n\n\
              Plan files are line-oriented `key value` pairs plus one line per\n\
              branch, e.g.:\n\n    \
              dataset compas\n    \
@@ -496,8 +487,6 @@ fn cmd_pipeline(raw: Vec<String>) -> Result<(), CliError> {
     args.check_known(&[
         "cache",
         "threads",
-        "shards",
-        "worker-exec",
         "out",
         "trace",
         "force",
@@ -508,12 +497,6 @@ fn cmd_pipeline(raw: Vec<String>) -> Result<(), CliError> {
     ])?;
     let plan_path = args.positional(0).unwrap();
     let plan = remedy_pipeline::Plan::from_path(plan_path).map_err(|e| CliError(e.to_string()))?;
-    let shards = args.get_parsed("shards", 1usize)?;
-    if shards == 0 || shards > 256 {
-        return Err(CliError(format!(
-            "--shards must be between 1 and 256, got {shards}"
-        )));
-    }
     let options = remedy_pipeline::PipelineOptions {
         cache_dir: args.get("cache").unwrap_or(".remedy-cache").into(),
         threads: args.get_parsed("threads", 0usize)?,
@@ -528,11 +511,6 @@ fn cmd_pipeline(raw: Vec<String>) -> Result<(), CliError> {
         ),
         manifest_out: args.get("out").map(Into::into),
         resume: args.get("resume").map(Into::into),
-        shards,
-        // shard workers re-invoke this same binary as `pipeline-worker`;
-        // --worker-exec overrides the executable (used by tests and when
-        // the parent is not the installed `remedy` binary)
-        worker: remedy_pipeline::WorkerMode::Subprocess(args.get("worker-exec").map(Into::into)),
     };
     let manifest = remedy_pipeline::run(&plan, &options).map_err(|e| CliError(e.to_string()))?;
     for stage in &manifest.stages {
@@ -589,68 +567,6 @@ fn cmd_pipeline(raw: Vec<String>) -> Result<(), CliError> {
         )));
     }
     Ok(())
-}
-
-/// Internal entry point spawned by `remedy pipeline --shards N`: scan one
-/// cached dataset shard into a mergeable-counts artifact.
-///
-/// Exit codes form the supervision protocol: 0 means the count artifact is
-/// in the cache, [`remedy_pipeline::WORKER_EXIT_FATAL`] (2) means the input
-/// is unusable and the parent must not retry, and any other death (exit 1,
-/// kill, signal) is treated as transient and retried under the parent's
-/// retry policy.
-fn cmd_pipeline_worker(raw: Vec<String>) -> Result<(), CliError> {
-    let args = Args::parse(raw)?;
-    if args.flag("help") {
-        println!(
-            "remedy pipeline-worker --cache DIR --shard-key HEX --count-key HEX \
-             [--threads N] [--force]\n\n\
-             Internal subcommand spawned by `remedy pipeline --shards N`.\n\
-             Reads the shard artifact at --shard-key from the cache, scans it\n\
-             into protected-subgroup counts with --threads threads, and stores\n\
-             the result under --count-key. Exits 0 on success, 2 on a fatal\n\
-             (non-retryable) error; anything else is retried by the parent."
-        );
-        return Ok(());
-    }
-    args.check_known(&[
-        "cache",
-        "shard-key",
-        "count-key",
-        "threads",
-        "force",
-        "help",
-    ])?;
-    let parse_key = |name: &str| -> Result<remedy_pipeline::CacheKey, CliError> {
-        let hex = args.require(name)?;
-        u128::from_str_radix(hex, 16)
-            .map(remedy_pipeline::CacheKey)
-            .map_err(|e| CliError(format!("--{name} `{hex}` is not a 128-bit hex key: {e}")))
-    };
-    let run = || -> Result<(), remedy_pipeline::PipelineError> {
-        let shard = parse_key("shard-key")
-            .map_err(|e| remedy_pipeline::PipelineError::invalid_plan(e.0))?;
-        let count = parse_key("count-key")
-            .map_err(|e| remedy_pipeline::PipelineError::invalid_plan(e.0))?;
-        let threads = args
-            .get_parsed("threads", 1usize)
-            .map_err(|e| remedy_pipeline::PipelineError::invalid_plan(e.0))?;
-        let dir = args
-            .require("cache")
-            .map_err(|e| remedy_pipeline::PipelineError::invalid_plan(e.0))?;
-        let cache = remedy_pipeline::ArtifactCache::open(dir)?;
-        remedy_pipeline::worker_body(&cache, shard, count, threads, args.flag("force"))
-    };
-    match run() {
-        Ok(()) => Ok(()),
-        // transient → plain error (exit 1): the parent retries the shard
-        Err(e) if e.kind() == remedy_pipeline::ErrorKind::Transient => Err(CliError(e.to_string())),
-        // everything else is a protocol/input error retrying cannot fix
-        Err(e) => {
-            eprintln!("pipeline-worker: {e}");
-            std::process::exit(remedy_pipeline::WORKER_EXIT_FATAL);
-        }
-    }
 }
 
 fn cmd_serve(raw: Vec<String>) -> Result<(), CliError> {

@@ -49,11 +49,9 @@ const MIN_CHUNK: usize = 8 * 1024;
 
 /// `[start, end)` row ranges splitting `n` rows across at most
 /// `threads` workers (`0` means "all available cores"), each at least
-/// [`MIN_CHUNK`] long. Sharded execution hands each worker a thread
-/// budget of `max(1, threads / shards)` through this cap so
-/// `--shards N --threads T` never oversubscribes the machine. The
-/// chunk count never changes results — per-worker tallies are merged
-/// in chunk order, so every cap is bit-identical.
+/// [`MIN_CHUNK`] long. The chunk count never changes results —
+/// per-worker tallies are merged in chunk order, so every cap is
+/// bit-identical.
 fn chunk_bounds_capped(n: usize, threads: usize) -> Vec<(usize, usize)> {
     let avail = std::thread::available_parallelism()
         .map(|t| t.get())
@@ -228,20 +226,14 @@ pub(crate) fn node_snapshot(
     (scan.counts, rows)
 }
 
-/// Mergeable leaf-level region counts over one dataset shard — the seam
-/// sharded pipeline execution sums per-worker results through.
+/// Leaf-level region counts of one dataset, from a single scan of its
+/// packed protected keys — the counting layer beneath both lattice
+/// builders, exposed so it can be timed (and reused) on its own.
 ///
-/// Region counts are row sums, so accumulators merge *exactly*: merging
-/// the `ShardCounts` of any row partition of a dataset yields the same
-/// leaf map — and therefore the same dense [`Hierarchy`] or
-/// support-pruned [`SparseHierarchy`] — as one whole-dataset scan.
-/// Exactness holds under **any** partition; stratifying shards by packed
-/// key only balances per-shard work, it is not needed for correctness.
-///
-/// Shards carry **unpruned** leaf counts. Support pruning happens once,
-/// globally, inside [`ShardCounts::into_sparse`]: pruning per shard
-/// would be unsound, since a region frequent over the whole dataset can
-/// sit below the support threshold in every individual shard.
+/// The counts are **unpruned**: support pruning happens inside
+/// [`ShardCounts::into_sparse`], and [`ShardCounts::into_hierarchy`]
+/// assembles the dense lattice, each identical to building it straight
+/// from the dataset.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ShardCounts {
     protected: Vec<usize>,
@@ -252,27 +244,18 @@ pub struct ShardCounts {
 }
 
 impl ShardCounts {
-    /// Scans a shard over its schema-declared protected columns with at
+    /// Scans `data` over its schema-declared protected columns with at
     /// most `threads` worker threads (`0` = all cores).
     pub fn scan(data: &Dataset, threads: usize) -> Result<ShardCounts, CoreError> {
         let protected = data.schema().protected_indices();
-        ShardCounts::scan_over(data, &protected, threads)
-    }
-
-    /// Scans a shard over an explicit protected-column set.
-    pub fn scan_over(
-        data: &Dataset,
-        protected: &[usize],
-        threads: usize,
-    ) -> Result<ShardCounts, CoreError> {
-        validate_columns(data, protected, MAX_PROTECTED_SPARSE)?;
-        let codec = codec_for(data, protected)?;
+        validate_columns(data, &protected, MAX_PROTECTED_SPARSE)?;
+        let codec = codec_for(data, &protected)?;
         let mut keys = vec![0u128; data.len()];
-        pack_keys_capped(data, protected, &codec, &mut keys, threads);
-        ShardCounts::from_keys(data, protected, &keys, threads)
+        pack_keys_capped(data, &protected, &codec, &mut keys, threads);
+        ShardCounts::from_keys(data, &protected, &keys, threads)
     }
 
-    /// Scans a shard from a persisted packed-key sidecar (the
+    /// Scans `data` from a persisted packed-key sidecar (the
     /// `remedy-columnar v1` layout), skipping the packing pass. The
     /// sidecar is validated against the layout this scan would pack —
     /// row count, column set, and slot widths — and rejected with
@@ -331,43 +314,8 @@ impl ShardCounts {
         })
     }
 
-    /// Reassembles an accumulator from persisted parts (see
-    /// [`crate::persist::counts_from_text`]).
-    pub(crate) fn from_parts(
-        protected: Vec<usize>,
-        cards: Vec<u32>,
-        ordered: Vec<bool>,
-        leaves: FastMap<u128, Counts>,
-        totals: Counts,
-    ) -> ShardCounts {
-        ShardCounts {
-            protected,
-            cards,
-            ordered,
-            leaves,
-            totals,
-        }
-    }
-
-    /// Folds another shard's counts into this one. Merging is pure
-    /// summation — associative and commutative — but only meaningful
-    /// between shards of the same dataset, so disagreeing protected
-    /// layouts are rejected with [`CoreError::MergeMismatch`].
-    pub fn merge(&mut self, other: &ShardCounts) -> Result<(), CoreError> {
-        check_merge_layout(
-            (&self.protected, &self.cards, &self.ordered),
-            (&other.protected, &other.cards, &other.ordered),
-        )?;
-        for (&key, &c) in &other.leaves {
-            self.leaves.entry(key).or_default().add(c);
-        }
-        self.totals.add(other.totals);
-        Ok(())
-    }
-
-    /// Assembles the dense lattice from the accumulated leaves —
-    /// identical to [`Hierarchy::try_build_over`] on the concatenated
-    /// shards. Fails with [`CoreError::DenseUnavailable`] past
+    /// Assembles the dense lattice from the counted leaves — identical
+    /// to [`Hierarchy::try_build_over`] on the scanned dataset. Fails with [`CoreError::DenseUnavailable`] past
     /// [`MAX_PROTECTED`] attributes.
     pub fn into_hierarchy(self) -> Result<Hierarchy, CoreError> {
         let p = self.protected.len();
@@ -385,10 +333,9 @@ impl ShardCounts {
         ))
     }
 
-    /// Runs the level-wise support-pruned enumeration over the
-    /// accumulated leaves — identical to
-    /// [`SparseHierarchy::try_build_over`] on the concatenated shards,
-    /// because pruning sees the globally merged counts.
+    /// Runs the level-wise support-pruned enumeration over the counted
+    /// leaves — identical to [`SparseHierarchy::try_build_over`] on the
+    /// scanned dataset.
     pub fn into_sparse(self, support: u64) -> Result<SparseHierarchy, CoreError> {
         let codec = KeyCodec::for_cards(&self.cards)?;
         SparseHierarchy::from_leaves(
@@ -407,40 +354,25 @@ impl ShardCounts {
         &self.protected
     }
 
-    /// Shard-wide label counts.
+    /// Dataset-wide label counts.
     pub fn totals(&self) -> Counts {
         self.totals
     }
 
-    /// Number of distinct leaf regions seen so far.
+    /// Number of distinct leaf regions.
     pub fn len(&self) -> usize {
         self.leaves.len()
     }
 
-    /// Whether no rows have been accumulated.
+    /// Whether no rows were counted.
     pub fn is_empty(&self) -> bool {
         self.leaves.is_empty()
     }
-
-    /// Leaf key → class counts, as accumulated (persisted sorted by key
-    /// so artifacts are deterministic).
-    pub(crate) fn leaves(&self) -> &FastMap<u128, Counts> {
-        &self.leaves
-    }
-
-    /// Per-attribute cardinalities / ordered flags (for persistence).
-    pub(crate) fn cards(&self) -> &[u32] {
-        &self.cards
-    }
-
-    pub(crate) fn ordered(&self) -> &[bool] {
-        &self.ordered
-    }
 }
 
-/// The codec every shard scan packs with: minimal widths, which stays
-/// on the 8-bit dense layout while the arity allows it — so one leaf
-/// map serves both [`ShardCounts::into_hierarchy`] and
+/// The codec every [`ShardCounts`] scan packs with: minimal widths,
+/// which stays on the 8-bit dense layout while the arity allows it — so
+/// one leaf map serves both [`ShardCounts::into_hierarchy`] and
 /// [`ShardCounts::into_sparse`].
 fn codec_for(data: &Dataset, protected: &[usize]) -> Result<KeyCodec, CoreError> {
     let cards: Vec<u32> = protected
@@ -448,23 +380,6 @@ fn codec_for(data: &Dataset, protected: &[usize]) -> Result<KeyCodec, CoreError>
         .map(|&a| data.schema().attribute(a).cardinality() as u32)
         .collect();
     KeyCodec::for_cards(&cards)
-}
-
-/// Shared layout guard of every merge seam: protected columns,
-/// cardinalities, and ordered flags must agree exactly.
-pub(crate) fn check_merge_layout(
-    ours: (&[usize], &[u32], &[bool]),
-    theirs: (&[usize], &[u32], &[bool]),
-) -> Result<(), CoreError> {
-    if ours != theirs {
-        return Err(CoreError::MergeMismatch {
-            detail: format!(
-                "protected layout {:?}/{:?}/{:?} != {:?}/{:?}/{:?}",
-                ours.0, ours.1, ours.2, theirs.0, theirs.1, theirs.2
-            ),
-        });
-    }
-    Ok(())
 }
 
 /// Projects a full packed key onto the attribute subset of node `mask`
@@ -1630,38 +1545,19 @@ mod tests {
         let _ = index.hierarchy();
     }
 
-    /// Splits `d` into `n` round-robin shards.
-    fn round_robin(d: &Dataset, n: usize) -> Vec<Dataset> {
-        (0..n)
-            .map(|s| {
-                let rows: Vec<usize> = (s..d.len()).step_by(n).collect();
-                d.subset(&rows)
-            })
-            .collect()
-    }
-
     #[test]
-    fn shard_counts_merge_matches_whole_scan() {
+    fn counted_leaves_lower_to_the_direct_lattices() {
         let d = fixture();
-        let whole = ShardCounts::scan(&d, 1).unwrap();
-        for shards in 1..=4 {
-            let pieces = round_robin(&d, shards);
-            let mut parts = pieces.iter().map(|s| ShardCounts::scan(s, 1).unwrap());
-            let mut merged = parts.next().unwrap();
-            for part in parts {
-                merged.merge(&part).unwrap();
-            }
-            assert_eq!(merged, whole, "{shards} shards");
-            let dense = merged.clone().into_hierarchy().unwrap();
-            assert_hierarchy_eq(&dense, &Hierarchy::build(&d));
-            let sparse = merged.into_sparse(2).unwrap();
-            let direct = crate::sparse::SparseHierarchy::try_build(&d, 2).unwrap();
-            assert_eq!(sparse.nodes().len(), direct.nodes().len());
-        }
+        let counts = ShardCounts::scan(&d, 1).unwrap();
+        let dense = counts.clone().into_hierarchy().unwrap();
+        assert_hierarchy_eq(&dense, &Hierarchy::build(&d));
+        let sparse = counts.into_sparse(2).unwrap();
+        let direct = crate::sparse::SparseHierarchy::try_build(&d, 2).unwrap();
+        assert_eq!(sparse.nodes().len(), direct.nodes().len());
     }
 
     #[test]
-    fn shard_scan_packed_matches_and_validates() {
+    fn scan_packed_matches_and_validates() {
         let d = fixture();
         let packed = remedy_dataset::store::pack_protected(&d).unwrap();
         let from_packed = ShardCounts::scan_packed(&d, &packed, 0).unwrap();
@@ -1677,53 +1573,6 @@ mod tests {
         assert!(matches!(
             ShardCounts::scan_packed(&d, &bad, 0),
             Err(CoreError::PackedLayoutMismatch { .. })
-        ));
-    }
-
-    #[test]
-    fn shard_merge_rejects_foreign_layouts() {
-        let d = fixture();
-        let mut a = ShardCounts::scan(&d, 1).unwrap();
-        let b = ShardCounts::scan_over(&d, &[0], 1).unwrap();
-        assert!(matches!(a.merge(&b), Err(CoreError::MergeMismatch { .. })));
-    }
-
-    #[test]
-    fn hierarchy_merge_from_matches_whole_build() {
-        let d = fixture();
-        let shards = round_robin(&d, 3);
-        let mut merged = Hierarchy::build(&shards[0]);
-        for s in &shards[1..] {
-            merged.merge_from(&Hierarchy::build(s)).unwrap();
-        }
-        assert_hierarchy_eq(&merged, &Hierarchy::build(&d));
-    }
-
-    #[test]
-    fn sparse_merge_from_exact_at_zero_support() {
-        let d = fixture();
-        let shards = round_robin(&d, 3);
-        let mut merged = crate::sparse::SparseHierarchy::try_build(&shards[0], 0).unwrap();
-        for s in &shards[1..] {
-            merged
-                .merge_from(&crate::sparse::SparseHierarchy::try_build(s, 0).unwrap())
-                .unwrap();
-        }
-        let whole = crate::sparse::SparseHierarchy::try_build(&d, 0).unwrap();
-        assert_eq!(merged.totals(), whole.totals());
-        assert_eq!(merged.nodes().len(), whole.nodes().len());
-        for (m, w) in merged.nodes().iter().zip(whole.nodes()) {
-            assert_eq!(m.mask, w.mask);
-            assert_eq!(m.regions.len(), w.regions.len());
-            for (key, c) in &m.regions {
-                assert_eq!(Some(c), w.regions.get(key), "node {:#b}", m.mask);
-            }
-        }
-        // support disagreements are refused
-        let other = crate::sparse::SparseHierarchy::try_build(&d, 5).unwrap();
-        assert!(matches!(
-            merged.merge_from(&other),
-            Err(CoreError::MergeMismatch { .. })
         ));
     }
 

@@ -69,13 +69,6 @@ pub enum CoreError {
         /// Human-readable description of the disagreement.
         detail: String,
     },
-    /// Two counting structures were asked to merge but were not built
-    /// over the same protected layout (columns, cardinalities, ordered
-    /// flags — or, for pruned lattices, support threshold).
-    MergeMismatch {
-        /// Human-readable description of the disagreement.
-        detail: String,
-    },
 }
 
 impl std::fmt::Display for CoreError {
@@ -117,9 +110,6 @@ impl std::fmt::Display for CoreError {
                 f,
                 "persisted packed keys don't match the index layout: {detail}"
             ),
-            CoreError::MergeMismatch { detail } => {
-                write!(f, "cannot merge counting structures: {detail}")
-            }
         }
     }
 }

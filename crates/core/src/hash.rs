@@ -11,9 +11,10 @@
 //! * [`StableHasher`] — pipeline artifact caching needs keys that are
 //!   identical across processes, platforms, and releases. `MixHasher` (and
 //!   anything implementing `std::hash::Hasher`) makes no such promise, so
-//!   cache keys use FNV-1a/128 with an explicitly specified input encoding
-//!   instead.
+//!   cache keys use FNV-1a/128 ([`remedy_dataset::format::Fnv128`]) with
+//!   an explicitly specified input encoding instead.
 
+use remedy_dataset::format::{content_digest, Fnv128};
 use std::hash::{BuildHasherDefault, Hasher};
 
 /// `HashMap` alias using the mix hasher.
@@ -79,11 +80,6 @@ impl Hasher for MixHasher {
     }
 }
 
-/// FNV-1a offset basis for the 128-bit variant.
-const FNV128_OFFSET: u128 = 0x6c62_272e_07bb_0142_62b8_2175_6295_c58d;
-/// FNV-1a prime for the 128-bit variant.
-const FNV128_PRIME: u128 = 0x0000_0000_0100_0000_0000_0000_0000_013B;
-
 /// A process- and platform-stable content hasher (FNV-1a, 128 bit).
 ///
 /// Used to derive pipeline cache keys from stage inputs. Unlike
@@ -92,17 +88,9 @@ const FNV128_PRIME: u128 = 0x0000_0000_0100_0000_0000_0000_0000_013B;
 /// machines, and compiler versions. Multi-field inputs must be framed by
 /// the caller (e.g. via [`StableHasher::write_str`], which appends a
 /// separator) so that field boundaries are unambiguous.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct StableHasher {
-    state: u128,
-}
-
-impl Default for StableHasher {
-    fn default() -> Self {
-        StableHasher {
-            state: FNV128_OFFSET,
-        }
-    }
+    state: Fnv128,
 }
 
 impl StableHasher {
@@ -112,11 +100,9 @@ impl StableHasher {
     }
 
     /// Absorbs raw bytes.
+    #[inline]
     pub fn write(&mut self, bytes: &[u8]) {
-        for &b in bytes {
-            self.state ^= u128::from(b);
-            self.state = self.state.wrapping_mul(FNV128_PRIME);
-        }
+        self.state.write(bytes);
     }
 
     /// Absorbs a string followed by a `0x1f` unit separator, so that
@@ -138,20 +124,18 @@ impl StableHasher {
 
     /// The 128-bit digest.
     pub fn finish(&self) -> u128 {
-        self.state
+        self.state.finish()
     }
 
     /// The digest as 32 lowercase hex digits (cache-directory names).
     pub fn finish_hex(&self) -> String {
-        format!("{:032x}", self.state)
+        format!("{:032x}", self.finish())
     }
 }
 
 /// One-shot stable hash of a byte slice.
 pub fn stable_hash(bytes: &[u8]) -> u128 {
-    let mut h = StableHasher::new();
-    h.write(bytes);
-    h.finish()
+    content_digest(bytes)
 }
 
 #[cfg(test)]
@@ -198,25 +182,25 @@ mod tests {
     #[test]
     fn stable_hash_known_vectors() {
         // FNV-1a/128 reference digests (spec test vectors)
-        assert_eq!(stable_hash(b""), FNV128_OFFSET);
+        assert_eq!(stable_hash(b""), 0x6c62_272e_07bb_0142_62b8_2175_6295_c58d);
         assert_eq!(stable_hash(b"a"), 0xd228_cb69_6f1a_8caf_7891_2b70_4e4a_8964);
     }
 
     #[test]
     fn stable_hash_matches_dataset_content_digest() {
-        // the dataset crate restates FNV-1a/128 for binary-store headers
-        // (it sits below this crate); the two must never drift
+        // streaming through the framing-free `write` in pieces digests
+        // exactly the concatenated bytes
         for input in [
             &b""[..],
             b"a",
             b"remedy-dataset v1\nlabel y\n",
             &[0u8, 0xff, 0x80, 0x1f],
         ] {
-            assert_eq!(
-                stable_hash(input),
-                remedy_dataset::format::content_digest(input),
-                "digest divergence on {input:?}"
-            );
+            let mut h = StableHasher::new();
+            for piece in input.chunks(3) {
+                h.write(piece);
+            }
+            assert_eq!(h.finish(), content_digest(input), "{input:?}");
         }
     }
 

@@ -165,26 +165,6 @@ impl Hierarchy {
         }
     }
 
-    /// Node-wise merge of another shard's lattice into this one:
-    /// every node's region counts and the level-0 totals are summed.
-    /// Exact under any row partition (counts are row sums), provided
-    /// both lattices cover the same protected layout — disagreements
-    /// fail with [`CoreError`](crate::error::CoreError)`::MergeMismatch`.
-    pub fn merge_from(&mut self, other: &Hierarchy) -> Result<(), crate::error::CoreError> {
-        crate::counting::check_merge_layout(
-            (&self.protected, &self.cards, &self.ordered),
-            (&other.protected, &other.cards, &other.ordered),
-        )?;
-        for (node, theirs) in self.nodes.iter_mut().zip(&other.nodes) {
-            debug_assert_eq!(node.mask, theirs.mask);
-            for (&key, &counts) in &theirs.regions {
-                node.regions.entry(key).or_default().add(counts);
-            }
-        }
-        self.totals.add(other.totals);
-        Ok(())
-    }
-
     /// Number of protected attributes (`|X|`).
     pub fn arity(&self) -> usize {
         self.protected.len()

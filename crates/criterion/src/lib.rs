@@ -81,20 +81,6 @@ impl Bencher {
                 .push(t.elapsed().as_secs_f64() / per_sample as f64);
         }
     }
-
-    /// Like upstream's `iter_custom`: the routine runs the requested
-    /// number of iterations and returns the elapsed time *it* measured.
-    /// This is for benchmarks whose reported time is not the closure's
-    /// wall clock — e.g. the critical path of a simulated worker fleet,
-    /// where per-shard timings taken sequentially are folded with `max`.
-    /// Heavyweight by design, so there is no calibration pass: each
-    /// sample is exactly one routine call.
-    pub fn iter_custom(&mut self, mut f: impl FnMut(u64) -> Duration) {
-        self.samples.clear();
-        for _ in 0..self.sample_count {
-            self.samples.push(f(1).as_secs_f64());
-        }
-    }
 }
 
 /// Top-level harness state: the benchmark filter plus output formatting.

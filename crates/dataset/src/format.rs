@@ -8,14 +8,14 @@
 //! the same shape of header: an ASCII magic line naming the format
 //! family and version. Each module used to hand-roll that check (and
 //! two of them the percent-escaping for embedded names); this module
-//! owns both, plus the FNV-1a/128 content digest stored in binary
-//! headers, so version negotiation and escaping behave identically
+//! owns both, so version negotiation and escaping behave identically
 //! everywhere.
 //!
-//! This crate sits at the bottom of the workspace graph, so the digest
-//! is a deliberate re-statement of `remedy_core::hash::stable_hash`
-//! (FNV-1a/128) rather than a call into it; a parity test in the core
-//! crate pins the two implementations to the same function.
+//! It also owns the workspace's one FNV-1a/128 implementation
+//! ([`Fnv128`]): binary headers, WAL and snapshot records digest with
+//! it directly, and `remedy_core::hash::StableHasher` frames pipeline
+//! cache keys on top of it. This crate is the lowest one that needs a
+//! content digest, so the others call down into it.
 
 /// A format family plus the version this build reads and writes.
 ///
@@ -190,18 +190,43 @@ const FNV128_OFFSET: u128 = 0x6c62_272e_07bb_0142_62b8_2175_6295_c58d;
 /// FNV-1a prime, 128-bit variant.
 const FNV128_PRIME: u128 = 0x0000_0000_0100_0000_0000_0000_0000_013B;
 
-/// FNV-1a/128 digest of a byte stream — the same function the pipeline
-/// cache uses for artifact hashes (`core::hash::stable_hash`), restated
-/// here because this crate sits below core. The binary columnar header
-/// stores this digest of the canonical text form, which is what makes a
-/// converted file replay against caches keyed on the text bytes.
-pub fn content_digest(bytes: &[u8]) -> u128 {
-    let mut state = FNV128_OFFSET;
-    for &b in bytes {
-        state ^= u128::from(b);
-        state = state.wrapping_mul(FNV128_PRIME);
+/// Streaming FNV-1a/128, starting at the offset basis (`default`): the
+/// digest depends only on the bytes fed in, in order, so it is stable
+/// across runs, machines, and releases.
+#[derive(Debug, Clone)]
+pub struct Fnv128(u128);
+
+impl Default for Fnv128 {
+    fn default() -> Self {
+        Fnv128(FNV128_OFFSET)
     }
-    state
+}
+
+impl Fnv128 {
+    /// Absorbs raw bytes.
+    #[inline]
+    pub fn write(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.0 ^= u128::from(b);
+            self.0 = self.0.wrapping_mul(FNV128_PRIME);
+        }
+    }
+
+    /// The digest of everything absorbed so far.
+    pub fn finish(&self) -> u128 {
+        self.0
+    }
+}
+
+/// One-shot FNV-1a/128 digest of a byte slice — the same function the
+/// pipeline cache uses for artifact hashes (`core::hash::stable_hash`).
+/// The binary columnar header stores this digest of the canonical text
+/// form, which is what makes a converted file replay against caches
+/// keyed on the text bytes.
+pub fn content_digest(bytes: &[u8]) -> u128 {
+    let mut h = Fnv128::default();
+    h.write(bytes);
+    h.finish()
 }
 
 #[cfg(test)]
@@ -275,7 +300,7 @@ mod tests {
 
     #[test]
     fn digest_matches_fnv_reference_vectors() {
-        // same spec vectors pinned in core::hash
+        // FNV-1a/128 reference digests (spec test vectors)
         assert_eq!(content_digest(b""), FNV128_OFFSET);
         assert_eq!(
             content_digest(b"a"),

@@ -186,48 +186,6 @@ pub fn pack_protected(data: &Dataset) -> Option<PackedKeys> {
     })
 }
 
-/// Per-row shard assignment, stratified by protected-attribute packed
-/// key: rows sharing a leaf region key are dealt round-robin across the
-/// shards, so every shard sees every region in proportion (±1 row).
-/// Correctness of sharded counting never depends on this — counts are
-/// row sums, exact under any partition — stratification only balances
-/// per-shard work and keeps per-shard region maps near `1/shards` of
-/// the global one. Datasets whose protected set admits no key layout
-/// (see [`pack_protected`]) fall back to one whole-dataset stratum,
-/// i.e. plain round-robin.
-pub fn shard_assignments(data: &Dataset, shards: usize) -> Vec<usize> {
-    debug_assert!(shards > 0);
-    match pack_protected(data) {
-        Some(packed) => {
-            let mut next: std::collections::HashMap<u128, usize> = std::collections::HashMap::new();
-            packed
-                .keys
-                .iter()
-                .map(|&key| {
-                    let slot = next.entry(key).or_insert(0);
-                    let s = *slot;
-                    *slot = (s + 1) % shards;
-                    s
-                })
-                .collect()
-        }
-        None => (0..data.len()).map(|row| row % shards).collect(),
-    }
-}
-
-/// Splits a dataset into `shards` stratified pieces (see
-/// [`shard_assignments`]); within each shard, rows keep their relative
-/// order. Concatenating the shards in order is a row permutation of
-/// the input, so merged shard counts equal whole-dataset counts.
-pub fn partition_stratified(data: &Dataset, shards: usize) -> Vec<Dataset> {
-    let assignment = shard_assignments(data, shards.max(1));
-    let mut rows: Vec<Vec<usize>> = vec![Vec::new(); shards.max(1)];
-    for (row, &s) in assignment.iter().enumerate() {
-        rows[s].push(row);
-    }
-    rows.iter().map(|r| data.subset(r)).collect()
-}
-
 /// Serializes a dataset to the binary columnar form, packed keys
 /// included whenever the protected set admits a key layout.
 pub fn to_binary(data: &Dataset) -> Vec<u8> {
@@ -724,6 +682,14 @@ mod tests {
         let schema = Schema::new(vec![Attribute::from_strs("a", &["0", "1"])], "y").into_shared();
         let d = Dataset::new(schema);
         assert!(pack_protected(&d).is_none(), "no protected columns");
+        // a 300-category protected column admits no packed layout
+        let wide: Vec<String> = (0..300).map(|i| format!("v{i}")).collect();
+        let domain: Vec<&str> = wide.iter().map(String::as_str).collect();
+        let schema =
+            Schema::new(vec![Attribute::from_strs("zip", &domain).protected()], "y").into_shared();
+        let mut d = Dataset::new(schema);
+        d.push_row(&[299], 1).unwrap();
+        assert!(pack_protected(&d).is_none(), "300 categories");
     }
 
     #[test]
@@ -839,71 +805,5 @@ mod tests {
                 ..
             })
         ));
-    }
-
-    #[test]
-    fn partition_is_a_row_permutation() {
-        let d = synth::compas_n(997, 5);
-        for shards in [1usize, 2, 3, 8] {
-            let parts = partition_stratified(&d, shards);
-            assert_eq!(parts.len(), shards);
-            assert_eq!(parts.iter().map(Dataset::len).sum::<usize>(), d.len());
-            // every row of the input appears exactly once across shards
-            let mut seen: Vec<(Vec<u32>, u8, u64)> = parts
-                .iter()
-                .flat_map(|p| (0..p.len()).map(|r| (p.row(r), p.label(r), p.weight(r).to_bits())))
-                .collect();
-            let mut want: Vec<(Vec<u32>, u8, u64)> = (0..d.len())
-                .map(|r| (d.row(r), d.label(r), d.weight(r).to_bits()))
-                .collect();
-            seen.sort();
-            want.sort();
-            assert_eq!(seen, want, "{shards} shards");
-        }
-    }
-
-    #[test]
-    fn partition_stratifies_every_region_key() {
-        let d = synth::compas_n(2_400, 9);
-        let packed = pack_protected(&d).unwrap();
-        let shards = 4;
-        let assignment = shard_assignments(&d, shards);
-        // per (key, shard) population: every shard holds ⌊n/4⌋ or ⌈n/4⌉
-        // rows of every leaf region
-        let mut per_key: std::collections::HashMap<u128, Vec<usize>> =
-            std::collections::HashMap::new();
-        for (row, &s) in assignment.iter().enumerate() {
-            per_key
-                .entry(packed.keys[row])
-                .or_insert_with(|| vec![0; shards])[s] += 1;
-        }
-        for (key, spread) in per_key {
-            let total: usize = spread.iter().sum();
-            for (s, &n) in spread.iter().enumerate() {
-                assert!(
-                    n == total / shards || n == total.div_ceil(shards),
-                    "key {key:x} shard {s}: {n} of {total}"
-                );
-            }
-        }
-    }
-
-    #[test]
-    fn partition_falls_back_without_key_layout() {
-        // a 300-category protected column admits no packed layout
-        let wide: Vec<String> = (0..300).map(|i| format!("v{i}")).collect();
-        let domain: Vec<&str> = wide.iter().map(String::as_str).collect();
-        let schema =
-            Schema::new(vec![Attribute::from_strs("zip", &domain).protected()], "y").into_shared();
-        let mut d = Dataset::new(schema);
-        for i in 0..10u32 {
-            d.push_row(&[i % 300], u8::from(i % 2 == 0)).unwrap();
-        }
-        assert!(pack_protected(&d).is_none());
-        let parts = partition_stratified(&d, 3);
-        assert_eq!(
-            parts.iter().map(Dataset::len).collect::<Vec<_>>(),
-            vec![4, 3, 3]
-        );
     }
 }

@@ -47,9 +47,10 @@ mod metrics;
 mod sink;
 
 pub use metrics::{HistSummary, Snapshot};
+pub use sink::json_str;
 
 use metrics::{collect, Hist, MetricKey};
-use sink::{json_str, TraceSink};
+use sink::TraceSink;
 use std::collections::BTreeMap;
 use std::io::Write;
 use std::sync::atomic::{AtomicU64, Ordering};

@@ -65,8 +65,10 @@ impl TraceSink {
     }
 }
 
-/// Escapes a string as a JSON string literal.
-pub(crate) fn json_str(s: &str) -> String {
+/// Escapes a string as a JSON string literal — the workspace's one
+/// escaper, shared by traces, run manifests, and the serve wire
+/// protocol (re-exported as `remedy_pipeline::json::json_str`).
+pub fn json_str(s: &str) -> String {
     let mut out = String::with_capacity(s.len() + 2);
     out.push('"');
     for c in s.chars() {

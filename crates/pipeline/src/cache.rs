@@ -50,13 +50,6 @@ const USED_FILE: &str = "used";
 /// Directory under the cache root where corrupt entries are preserved.
 /// Never replayed, never swept by [`ArtifactCache::gc`].
 pub const QUARANTINE_DIR: &str = "quarantine";
-/// Directory under the cache root holding per-run manifests registered
-/// by sharded runs ([`ArtifactCache::pin_run`]). Not cache entries:
-/// excluded from [`ArtifactCache::len`], and a `status: "running"`
-/// manifest here *pins* every `{stage}-{key}` entry it records against
-/// garbage collection, so a concurrent sharded run never loses a shard
-/// artifact mid-flight.
-pub const RUNS_DIR: &str = "runs";
 
 /// A 128-bit cache key, printed as 32 hex digits.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -119,12 +112,6 @@ impl ArtifactCache {
         &self.root
     }
 
-    /// The retry policy applied to transient I/O (shared by the shard
-    /// worker supervisor).
-    pub(crate) fn retry(&self) -> &RetryPolicy {
-        &self.retry
-    }
-
     /// The quarantine directory (corrupt entries land here).
     pub fn quarantine_dir(&self) -> PathBuf {
         self.root.join(QUARANTINE_DIR)
@@ -155,10 +142,10 @@ impl ArtifactCache {
         }
     }
 
-    /// [`ArtifactCache::lookup`] for binary artifacts (shard datasets in
-    /// `remedy-columnar v1` form); same hit/verify/quarantine semantics,
-    /// including the touch-on-hit `used` marker GC orders evictions by.
-    pub fn lookup_bytes(&self, stage: &str, key: CacheKey) -> Option<Vec<u8>> {
+    /// The byte-level replay under [`ArtifactCache::lookup`]: read,
+    /// verify (quarantining on mismatch), and touch the `used` marker GC
+    /// orders evictions by.
+    fn lookup_bytes(&self, stage: &str, key: CacheKey) -> Option<Vec<u8>> {
         let dir = self.entry_dir(stage, key);
         let read = self.retry.run("cache.replay", &self.obs, || {
             failpoint::check("stage.replay", stage)?;
@@ -234,21 +221,9 @@ impl ArtifactCache {
         artifact: &str,
         description: &str,
     ) -> Result<(), PipelineError> {
-        self.store_bytes(stage, key, artifact.as_bytes(), description)
-    }
-
-    /// [`ArtifactCache::store`] for binary artifacts; same atomicity,
-    /// retry, and race semantics.
-    pub fn store_bytes(
-        &self,
-        stage: &str,
-        key: CacheKey,
-        artifact: &[u8],
-        description: &str,
-    ) -> Result<(), PipelineError> {
         self.retry.run("cache.store", &self.obs, || {
             failpoint::check("stage.store", stage)?;
-            self.store_once(stage, key, artifact, description)
+            self.store_once(stage, key, artifact.as_bytes(), description)
         })
     }
 
@@ -301,7 +276,7 @@ impl ArtifactCache {
     }
 
     /// Number of entries currently in the cache (for tests and stats);
-    /// staging dirs, the quarantine, and run manifests are not entries.
+    /// staging dirs and the quarantine are not entries.
     pub fn len(&self) -> usize {
         std::fs::read_dir(&self.root)
             .map(|entries| {
@@ -310,58 +285,11 @@ impl ArtifactCache {
                     .filter(|e| {
                         let name = e.file_name();
                         let name = name.to_string_lossy();
-                        !name.starts_with(".tmp-") && name != QUARANTINE_DIR && name != RUNS_DIR
+                        !name.starts_with(".tmp-") && name != QUARANTINE_DIR
                     })
                     .count()
             })
             .unwrap_or(0)
-    }
-
-    /// The directory holding run manifests registered by sharded runs.
-    pub fn runs_dir(&self) -> PathBuf {
-        self.root.join(RUNS_DIR)
-    }
-
-    /// Registers (or re-registers) a run's manifest under the cache's
-    /// `runs/` directory. While the manifest's status is
-    /// [`RunStatus::Running`](crate::manifest::RunStatus::Running), every
-    /// `{stage}-{key}` entry it records is pinned against
-    /// [`ArtifactCache::gc`]; re-registering with a terminal status
-    /// releases the pins. `run_id` must be filesystem-safe (the engine
-    /// uses the run's identify-key hex).
-    pub fn pin_run(
-        &self,
-        run_id: &str,
-        manifest: &crate::manifest::RunManifest,
-    ) -> Result<(), PipelineError> {
-        let dir = self.runs_dir();
-        std::fs::create_dir_all(&dir)
-            .map_err(|e| PipelineError::fatal(format!("cannot create runs dir: {e}")))?;
-        manifest
-            .write_path(dir.join(format!("{run_id}.json")))
-            .map_err(|e| PipelineError::from(e).map_message(|m| format!("cannot pin run: {m}")))
-    }
-
-    /// Entry names (`{stage}-{key}`) pinned by `status: "running"`
-    /// manifests under `runs/`. Unreadable or corrupt manifests pin
-    /// nothing (a garbage file must not shield the whole cache).
-    fn pinned_entries(&self) -> std::collections::HashSet<String> {
-        let mut pinned = std::collections::HashSet::new();
-        let Ok(entries) = std::fs::read_dir(self.runs_dir()) else {
-            return pinned;
-        };
-        for entry in entries.filter_map(Result::ok) {
-            let Ok(manifest) = crate::manifest::RunManifest::from_path(entry.path()) else {
-                continue;
-            };
-            if manifest.status != crate::manifest::RunStatus::Running {
-                continue;
-            }
-            for rec in &manifest.stages {
-                pinned.insert(format!("{}-{}", rec.stage, rec.key));
-            }
-        }
-        pinned
     }
 
     /// Whether the cache has no entries.
@@ -397,13 +325,12 @@ impl ArtifactCache {
     /// every [`ArtifactCache::lookup`] hit) and its artifact file, so an
     /// entry that was stored but never replayed still has a timestamp.
     ///
-    /// Three classes of entry are never touched: anything inside
-    /// `quarantine/`; any entry used *after* `sweep_start` (the marker is
-    /// re-read immediately before deletion) — so a concurrent run
-    /// replaying an artifact cannot have it swept out from under it; and
-    /// any entry recorded by a `status: "running"` manifest under `runs/`
-    /// ([`ArtifactCache::pin_run`]) — so a sharded run's shard and count
-    /// artifacts survive until the run finalizes its manifest. Counters
+    /// Two classes of entry are never touched: anything inside
+    /// `quarantine/`, and any entry used *after* `sweep_start` (the marker
+    /// is re-read immediately before deletion) — so a concurrent run
+    /// replaying an artifact cannot have it swept out from under it. Any
+    /// other directory under the root is an entry, including ones whose
+    /// stage kind this pipeline no longer writes. Counters
     /// (`gc.entries_removed`, `gc.bytes_removed`, …) land on the cache's
     /// observability scope.
     pub fn gc_at(
@@ -412,9 +339,8 @@ impl ArtifactCache {
         sweep_start: SystemTime,
     ) -> Result<GcStats, PipelineError> {
         let mut stats = GcStats::default();
-        // (dir, last_used, bytes, pinned) for every live entry
-        let mut live: Vec<(PathBuf, SystemTime, u64, bool)> = Vec::new();
-        let pinned = self.pinned_entries();
+        // (dir, last_used, bytes) for every live entry
+        let mut live: Vec<(PathBuf, SystemTime, u64)> = Vec::new();
 
         // deletes an entry unless its `used` marker moved past the sweep
         // start since it was scanned (a concurrent replay claimed it)
@@ -431,7 +357,7 @@ impl ArtifactCache {
             let path = entry.path();
             let name = entry.file_name();
             let name = name.to_string_lossy();
-            if !path.is_dir() || name == QUARANTINE_DIR || name == RUNS_DIR {
+            if !path.is_dir() || name == QUARANTINE_DIR {
                 continue;
             }
             if name.starts_with(".tmp-") {
@@ -441,19 +367,12 @@ impl ArtifactCache {
                 continue;
             }
             stats.entries_scanned += 1;
-            if pinned.contains(name.as_ref()) {
-                // a running sharded run still needs this artifact
-                stats.entries_pinned += 1;
-                let (used, bytes) = (entry_last_used(&path), dir_bytes(&path));
-                live.push((path, used, bytes, true));
-                continue;
-            }
             let bytes = dir_bytes(&path);
             let last_used = entry_last_used(&path);
             if last_used > sweep_start {
                 // in flight: a replay touched it after the sweep began
                 stats.entries_in_flight += 1;
-                live.push((path, last_used, bytes, false));
+                live.push((path, last_used, bytes));
                 continue;
             }
             let expired = match (policy.max_age, sweep_start.duration_since(last_used)) {
@@ -465,18 +384,17 @@ impl ArtifactCache {
                 stats.bytes_removed += bytes;
                 continue;
             }
-            live.push((path, last_used, bytes, false));
+            live.push((path, last_used, bytes));
         }
 
         // size sweep: evict least-recently-used first until under budget
-        // (pinned entries count toward the total but are never evicted)
         if let Some(max_bytes) = policy.max_bytes {
-            let mut total: u64 = live.iter().map(|(_, _, b, _)| b).sum();
-            live.sort_by_key(|&(_, used, _, _)| used);
+            let mut total: u64 = live.iter().map(|(_, _, b)| b).sum();
+            live.sort_by_key(|&(_, used, _)| used);
             let mut idx = 0;
             while total > max_bytes && idx < live.len() {
-                let (path, used, bytes, is_pinned) = &live[idx];
-                if !is_pinned && *used <= sweep_start && remove_unless_in_flight(path) {
+                let (path, used, bytes) = &live[idx];
+                if *used <= sweep_start && remove_unless_in_flight(path) {
                     stats.entries_removed += 1;
                     stats.bytes_removed += bytes;
                     total -= bytes;
@@ -484,16 +402,15 @@ impl ArtifactCache {
                 }
                 idx += 1;
             }
-            live.retain(|(_, _, b, _)| *b > 0);
+            live.retain(|(_, _, b)| *b > 0);
         }
 
         stats.live_entries = live.len() as u64;
-        stats.live_bytes = live.iter().map(|(_, _, b, _)| b).sum();
+        stats.live_bytes = live.iter().map(|(_, _, b)| b).sum();
         self.obs.add_many(&[
             ("gc.entries_scanned", stats.entries_scanned),
             ("gc.entries_removed", stats.entries_removed),
             ("gc.entries_in_flight", stats.entries_in_flight),
-            ("gc.entries_pinned", stats.entries_pinned),
             ("gc.bytes_removed", stats.bytes_removed),
             ("gc.tmp_dirs_removed", stats.tmp_dirs_removed),
         ]);
@@ -523,9 +440,6 @@ pub struct GcStats {
     /// Entries protected from the sweep because a concurrent run replayed
     /// them after the sweep started.
     pub entries_in_flight: u64,
-    /// Entries protected because a `status: "running"` manifest under
-    /// `runs/` records them ([`ArtifactCache::pin_run`]).
-    pub entries_pinned: u64,
     /// Bytes reclaimed from deleted entries.
     pub bytes_removed: u64,
     /// Orphaned `.tmp-*` staging dirs deleted.
@@ -830,119 +744,20 @@ mod tests {
         let cache = temp_cache("bytes");
         let key = CacheKey(0xB17E5);
         let payload: Vec<u8> = (0..=255u8).collect();
-        assert_eq!(cache.lookup_bytes("shard", key), None);
-        cache
-            .store_bytes("shard", key, &payload, "binary shard")
-            .unwrap();
+        cache.store_once("load", key, &payload, "binary").unwrap();
         assert_eq!(
-            cache.lookup_bytes("shard", key).as_deref(),
+            cache.lookup_bytes("load", key).as_deref(),
             Some(&payload[..])
         );
         // the text API must not serve a non-UTF-8 artifact
-        assert_eq!(cache.lookup("shard", key), None);
-        // ...and corruption is still caught through the bytes path
-        let path = cache.entry_dir("shard", key).join(ARTIFACT_FILE);
+        assert_eq!(cache.lookup("load", key), None);
+        // ...and corruption is still caught underneath it
+        let path = cache.entry_dir("load", key).join(ARTIFACT_FILE);
         let mut bytes = std::fs::read(&path).unwrap();
         bytes[7] ^= 0xFF;
         std::fs::write(&path, &bytes).unwrap();
-        assert_eq!(cache.lookup_bytes("shard", key), None);
+        assert_eq!(cache.lookup_bytes("load", key), None);
         assert_eq!(cache.quarantined(), 1);
-    }
-
-    /// Builds a manifest whose stage list records exactly `entries`.
-    fn running_manifest(
-        status: crate::manifest::RunStatus,
-        entries: &[(&'static str, CacheKey)],
-    ) -> crate::manifest::RunManifest {
-        crate::manifest::RunManifest {
-            dataset: "synth".into(),
-            seed: 7,
-            threads: 1,
-            status,
-            total_ms: 0.0,
-            stages: entries
-                .iter()
-                .map(|&(stage, key)| crate::manifest::StageRecord {
-                    stage,
-                    branch: None,
-                    key: key.hex(),
-                    artifact_hash: "00".into(),
-                    cache_hit: false,
-                    skipped: false,
-                    wall_ms: 0.0,
-                    counters: Vec::new(),
-                })
-                .collect(),
-            branches: Vec::new(),
-            failures: Vec::new(),
-        }
-    }
-
-    /// Shard artifacts recorded by a `status: "running"` manifest must
-    /// survive even a zero-budget sweep; finalizing the manifest (status
-    /// `Ok`) releases the pin.
-    #[test]
-    fn gc_never_collects_entries_pinned_by_a_running_manifest() {
-        use crate::manifest::RunStatus;
-        let rec = remedy_obs::Recorder::enabled();
-        let cache = temp_cache("gc_pinned").with_obs(rec.scope("cache"));
-        let pinned_key = CacheKey(1);
-        cache
-            .store_bytes("shard", pinned_key, b"shard rows", "")
-            .unwrap();
-        cache.store("load", CacheKey(2), "unpinned", "").unwrap();
-        cache
-            .pin_run(
-                "runid",
-                &running_manifest(RunStatus::Running, &[("shard", pinned_key)]),
-            )
-            .unwrap();
-        std::thread::sleep(Duration::from_millis(10));
-        let policy = GcPolicy {
-            max_bytes: Some(0),
-            max_age: Some(Duration::from_nanos(1)),
-        };
-        let stats = cache.gc(&policy).unwrap();
-        assert_eq!(stats.entries_pinned, 1);
-        assert_eq!(stats.entries_removed, 1, "unpinned entry should go");
-        assert!(cache.lookup_bytes("shard", pinned_key).is_some());
-        assert_eq!(
-            rec.snapshot().counter("cache", "gc.entries_pinned"),
-            Some(1)
-        );
-        // the runs dir itself is neither an entry nor sweepable
-        assert_eq!(cache.len(), 1);
-
-        // finalize: rewrite the manifest with a terminal status
-        cache
-            .pin_run(
-                "runid",
-                &running_manifest(RunStatus::Ok, &[("shard", pinned_key)]),
-            )
-            .unwrap();
-        std::thread::sleep(Duration::from_millis(10));
-        let stats = cache.gc(&policy).unwrap();
-        assert_eq!(stats.entries_pinned, 0);
-        assert_eq!(stats.entries_removed, 1);
-        assert!(cache.lookup_bytes("shard", pinned_key).is_none());
-    }
-
-    /// A garbage file in `runs/` pins nothing and breaks nothing.
-    #[test]
-    fn gc_ignores_corrupt_run_manifests() {
-        let cache = temp_cache("gc_badrun");
-        cache.store("load", CacheKey(1), "x", "").unwrap();
-        std::fs::create_dir_all(cache.runs_dir()).unwrap();
-        std::fs::write(cache.runs_dir().join("junk.json"), "not json").unwrap();
-        std::thread::sleep(Duration::from_millis(10));
-        let stats = cache
-            .gc(&GcPolicy {
-                max_bytes: Some(0),
-                max_age: None,
-            })
-            .unwrap();
-        assert_eq!(stats.entries_pinned, 0);
-        assert_eq!(stats.entries_removed, 1);
     }
 
     #[test]

@@ -36,7 +36,6 @@ use crate::error::{panic_message, PipelineError};
 use crate::manifest::{BranchFailure, BranchOutcome, RunManifest, RunStatus, StageRecord};
 use crate::plan::{BranchSpec, Plan};
 use crate::retry::RetryPolicy;
-use crate::shard::{sharded_identify_stage, WorkerMode};
 use crate::stages::{
     audit_stage, discretize_stage, identify_stage, load_stage, remedy_stage, skipped_remedy_record,
     split_dataset, train_stage, StageOutput,
@@ -78,16 +77,6 @@ pub struct PipelineOptions {
     /// completed stages replay from the cache and only unfinished ones
     /// re-execute.
     pub resume: Option<std::path::PathBuf>,
-    /// Shards for the identify prefix: `> 1` partitions the training
-    /// split stratified by protected key and fans the counting scan out
-    /// over shard workers ([`crate::shard`]); `0` or `1` runs the
-    /// single-process stage. Not part of any cache key — a sharded run
-    /// produces byte-identical artifacts under identical keys.
-    pub shards: usize,
-    /// How shard workers execute when `shards > 1`. Each worker scans
-    /// with `max(1, threads / shards)` threads so `--shards N --threads
-    /// T` never oversubscribes.
-    pub worker: WorkerMode,
 }
 
 impl Default for PipelineOptions {
@@ -100,8 +89,6 @@ impl Default for PipelineOptions {
             retry: RetryPolicy::none(),
             manifest_out: None,
             resume: None,
-            shards: 1,
-            worker: WorkerMode::InProcess,
         }
     }
 }
@@ -158,45 +145,15 @@ pub fn run_with(
     )?;
     let data = data_persist::dataset_from_text(&discretized.text)?;
     let (train_set, test_set) = split_dataset(plan, &data)?;
-    let (identify, shard_records) = if opts.shards > 1 {
-        // a killed sharded run should still leave a resumable snapshot,
-        // even before the identify record exists (best-effort)
-        if let Some(path) = &opts.manifest_out {
-            let _ = RunManifest {
-                dataset: plan.source.clone(),
-                seed: plan.seed,
-                threads: opts.threads,
-                status: RunStatus::Running,
-                total_ms: started.elapsed().as_secs_f64() * 1e3,
-                stages: vec![load.record.clone(), discretized.record.clone()],
-                branches: Vec::new(),
-                failures: Vec::new(),
-            }
-            .write_path(path);
-        }
-        sharded_identify_stage(
-            plan,
-            &discretized,
-            &train_set,
-            opts.shards,
-            opts.threads,
-            &opts.worker,
-            opts.force,
-            &cache,
-            &run_span,
-        )?
-    } else {
-        let identify = identify_stage(
-            plan,
-            &discretized,
-            &train_set,
-            opts.threads,
-            &cache,
-            opts.force,
-            &run_span.child_scope("identify"),
-        )?;
-        (identify, Vec::new())
-    };
+    let identify = identify_stage(
+        plan,
+        &discretized,
+        &train_set,
+        opts.threads,
+        &cache,
+        opts.force,
+        &run_span.child_scope("identify"),
+    )?;
 
     // the unremedied training split doubles as the remedy "artifact" of
     // technique=none branches; serialize it once for all of them
@@ -209,9 +166,11 @@ pub fn run_with(
     let assemble = |runs: &[(usize, Result<BranchRun, PipelineError>)], status: RunStatus| {
         let mut ordered: Vec<&(usize, Result<BranchRun, PipelineError>)> = runs.iter().collect();
         ordered.sort_by_key(|(idx, _)| *idx);
-        let mut stages = vec![load.record.clone(), discretized.record.clone()];
-        stages.extend(shard_records.iter().cloned());
-        stages.push(identify.record.clone());
+        let mut stages = vec![
+            load.record.clone(),
+            discretized.record.clone(),
+            identify.record.clone(),
+        ];
         let mut branches = Vec::new();
         let mut failures = Vec::new();
         for (idx, result) in ordered {

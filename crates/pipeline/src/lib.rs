@@ -54,7 +54,6 @@ pub mod json;
 pub mod manifest;
 pub mod plan;
 pub mod retry;
-pub mod shard;
 pub mod stages;
 
 pub use cache::{ArtifactCache, CacheKey, GcPolicy, GcStats};
@@ -63,4 +62,3 @@ pub use error::{ErrorKind, PipelineError};
 pub use manifest::{BranchFailure, BranchOutcome, RunManifest, RunStatus, StageRecord};
 pub use plan::{BranchSpec, ModelFamily, Plan, SourceFormat};
 pub use retry::RetryPolicy;
-pub use shard::{worker_body, worker_threads, WorkerMode, WORKER_EXIT_FATAL};

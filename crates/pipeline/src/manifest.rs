@@ -65,11 +65,10 @@ impl std::fmt::Display for RunStatus {
 /// One stage execution in the manifest.
 #[derive(Debug, Clone, PartialEq)]
 pub struct StageRecord {
-    /// Stage kind: `load`, `discretize`, `shard`, `count`, `identify`,
-    /// `remedy`, `train`, or `audit`.
+    /// Stage kind: `load`, `discretize`, `identify`, `remedy`, `train`,
+    /// or `audit`.
     pub stage: &'static str,
-    /// Owning branch (`s0`, `s1`, … for shard/count stages), or `None`
-    /// for the shared prefix.
+    /// Owning branch, or `None` for the shared prefix.
     pub branch: Option<String>,
     /// The content-addressed cache key (32 hex digits).
     pub key: String,
@@ -263,8 +262,9 @@ impl RunManifest {
         let mut stages = Vec::new();
         for (i, s) in root.arr_field("stages")?.iter().enumerate() {
             let in_stage = |e: PipelineError| e.map_message(|m| format!("stages[{i}]: {m}"));
-            let stage = intern_stage(s.str_field("stage").map_err(in_stage)?)
-                .ok_or_else(|| corrupt(format!("stages[{i}]: unknown stage kind")))?;
+            let kind = s.str_field("stage").map_err(in_stage)?;
+            let stage = intern_stage(kind)
+                .ok_or_else(|| corrupt(format!("stages[{i}]: unknown stage kind `{kind}`")))?;
             let branch = match s.field("branch") {
                 Some(json::Value::Null) | None => None,
                 Some(v) => Some(
@@ -355,21 +355,10 @@ impl RunManifest {
 
 /// Maps a parsed stage kind onto the static names [`StageRecord`] uses;
 /// anything else means the manifest was not written by this pipeline.
-/// `shard` (a partitioned dataset artifact) and `count` (a worker's
-/// mergeable leaf-count artifact) only appear in sharded runs.
 fn intern_stage(stage: &str) -> Option<&'static str> {
-    [
-        "load",
-        "discretize",
-        "shard",
-        "count",
-        "identify",
-        "remedy",
-        "train",
-        "audit",
-    ]
-    .into_iter()
-    .find(|known| *known == stage)
+    ["load", "discretize", "identify", "remedy", "train", "audit"]
+        .into_iter()
+        .find(|known| *known == stage)
 }
 
 /// Parses the audit statistic token the manifest writes (`FPR`, …).

@@ -94,7 +94,7 @@ pub fn run_stage(
     Ok(finish(stage, branch, key, false, text, start, obs))
 }
 
-pub(crate) fn finish(
+fn finish(
     stage: &'static str,
     branch: Option<&str>,
     key: CacheKey,
@@ -274,22 +274,9 @@ pub fn split_dataset(plan: &Plan, data: &Dataset) -> Result<(Dataset, Dataset), 
 }
 
 /// Folds the split definition into a stage key.
-pub(crate) fn write_split(h: &mut StableHasher, plan: &Plan) {
+fn write_split(h: &mut StableHasher, plan: &Plan) {
     h.write_f64(plan.split);
     h.write_u64(plan.seed);
-}
-
-/// The identify stage's cache key: a function of the discretized
-/// artifact, the split, and the IBS parameters — *not* of sharding or
-/// thread counts, so a sharded run stores its (byte-identical) artifact
-/// under the same key as a single-process run.
-pub(crate) fn identify_key(plan: &Plan, discretized_hash: &str) -> CacheKey {
-    let mut h = StableHasher::new();
-    h.write_str("identify");
-    h.write_str(discretized_hash);
-    write_split(&mut h, plan);
-    plan.ibs.stable_hash_into(&mut h);
-    CacheKey::from_hasher(&h)
 }
 
 /// Identify: the IBS of the training split, shared by every branch.
@@ -306,7 +293,12 @@ pub fn identify_stage(
     force: bool,
     obs: &ObsScope,
 ) -> Result<StageOutput, PipelineError> {
-    let key = identify_key(plan, &discretized.artifact_hash);
+    let mut h = StableHasher::new();
+    h.write_str("identify");
+    h.write_str(&discretized.artifact_hash);
+    write_split(&mut h, plan);
+    plan.ibs.stable_hash_into(&mut h);
+    let key = CacheKey::from_hasher(&h);
     let params = plan.ibs.clone();
     let inner_obs = obs.clone();
     run_stage(

@@ -38,16 +38,31 @@ impl Client {
     }
 
     /// Sends one request line and returns the raw response line.
+    ///
+    /// The request and its newline go out in one write. A server that
+    /// refuses a connection (the `--max-conns` gate) writes its
+    /// `overloaded` line and closes at once; a request arriving after
+    /// that close is answered with a reset, so a second write for the
+    /// newline would fail before the typed reply was ever read. For the
+    /// same reason a failed write still reads a reply line already
+    /// pending on the socket, and only reports the write error when
+    /// there is none.
     pub fn request_line(&mut self, line: &str) -> std::io::Result<String> {
-        self.writer.write_all(line.as_bytes())?;
-        self.writer.write_all(b"\n")?;
+        let mut request = String::with_capacity(line.len() + 1);
+        request.push_str(line);
+        request.push('\n');
+        let sent = self.writer.write_all(request.as_bytes());
         let mut response = String::new();
-        let n = self.reader.read_line(&mut response)?;
-        if n == 0 {
-            return Err(std::io::Error::new(
-                std::io::ErrorKind::UnexpectedEof,
-                "server closed the connection",
-            ));
+        let read = self.reader.read_line(&mut response);
+        match (sent, read) {
+            (_, Ok(n)) if n > 0 => {}
+            (Err(e), _) | (Ok(()), Err(e)) => return Err(e),
+            (Ok(()), Ok(_)) => {
+                return Err(std::io::Error::new(
+                    std::io::ErrorKind::UnexpectedEof,
+                    "server closed the connection",
+                ))
+            }
         }
         while response.ends_with('\n') || response.ends_with('\r') {
             response.pop();

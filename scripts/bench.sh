@@ -3,10 +3,7 @@
 # records the median time of every benchmark into BENCH_core.json, tagged with
 # the git revision and UTC date. The persist bench contributes the
 # dataset_cold_load_ms comparison (text parse vs binary columnar decode of a
-# 1M-row synthetic); the pipeline bench contributes pipeline_sharded_ms, the
-# critical-path scaling curve of sharded counting over 1M rows at 1/2/4/8
-# shards with its measured speedup_at_8. Extra arguments are forwarded to
-# `cargo bench`
+# 1M-row synthetic). Extra arguments are forwarded to `cargo bench`
 # (e.g. `scripts/bench.sh remedy_large` to filter).
 set -euo pipefail
 cd "$(dirname "$0")/.."
@@ -56,18 +53,6 @@ awk -v rev="$rev" -v date="$date" '
             printf "    \"text\": %.3f,\n", text / 1e6
             printf "    \"binary\": %.3f,\n", binary / 1e6
             printf "    \"speedup\": %.1f\n", text / binary
-            printf "  }"
-        }
-        s1 = medians["pipeline/sharded/1"]
-        s8 = medians["pipeline/sharded/8"]
-        if (s1 > 0 && s8 > 0) {
-            printf ",\n  \"pipeline_sharded_ms\": {\n"
-            printf "    \"rows\": 1000000,\n"
-            printf "    \"shards_1\": %.3f,\n", s1 / 1e6
-            printf "    \"shards_2\": %.3f,\n", medians["pipeline/sharded/2"] / 1e6
-            printf "    \"shards_4\": %.3f,\n", medians["pipeline/sharded/4"] / 1e6
-            printf "    \"shards_8\": %.3f,\n", s8 / 1e6
-            printf "    \"speedup_at_8\": %.1f\n", s1 / s8
             printf "  }"
         }
         recover = medians["serve/serve_recover_1m"]
